@@ -116,3 +116,68 @@ func TestPhaseDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadViewFrozen is the read-snapshot contract: a ReadView carries
+// each bubble's seed and (n, LS, SS) at capture and nothing else — no
+// members, no ownership, no neighbor index — and readers may use it
+// while the live set keeps mutating. Under -race any sharing between
+// view and live state would be reported.
+func TestReadViewFrozen(t *testing.T) {
+	set, db := raceTestSet(t, 400, 8)
+	view := set.ReadView()
+	if view.Len() != set.Len() || view.OwnedPoints() != 0 || view.NeighborIndex() != nil || view.Options().TrackMembers {
+		t.Fatalf("view is not stats-only: len %d owned %d index %v", view.Len(), view.OwnedPoints(), view.NeighborIndex())
+	}
+	type stat struct {
+		n    int
+		ss   float64
+		ls   vecmath.Point
+		seed vecmath.Point
+	}
+	want := make([]stat, set.Len())
+	for i, b := range set.Bubbles() {
+		want[i] = stat{b.N(), b.SS(), b.LS().Clone(), b.Seed().Clone()}
+		if vb := view.Bubble(i); vb.TracksMembers() || vb.N() != b.N() {
+			t.Fatalf("bubble %d: view n %d members %v, live n %d", i, vb.N(), vb.TracksMembers(), b.N())
+		}
+	}
+
+	var wg sync.WaitGroup
+	for f := 0; f < 4; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			fd := view.NewFinder()
+			for i := f; i < db.Len(); i += 4 {
+				if _, _, err := fd.ClosestSeed(db.At(i).P, int64(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for _, b := range view.Bubbles() {
+				_ = b.Extent()
+			}
+		}(f)
+	}
+	for i := 0; i < 100; i++ {
+		rec := db.At(i)
+		if _, err := set.Release(rec.ID, rec.P); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := set.SetSeed(0, db.At(200).P); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	for i, b := range view.Bubbles() {
+		w := want[i]
+		//lint:allow floatsafe a frozen copy must hold the captured statistics bit for bit
+		if b.N() != w.n || b.SS() != w.ss || !b.LS().Equal(w.ls) || !b.Seed().Equal(w.seed) {
+			t.Fatalf("bubble %d changed after capture: n %d→%d", i, w.n, b.N())
+		}
+	}
+	if got := set.Bubble(0).Seed(); got.Equal(want[0].seed) {
+		t.Fatal("live mutation did not land; the test proves nothing")
+	}
+}

@@ -238,21 +238,7 @@ func (s *Set) SeedEpoch() uint64 { return s.seedEpoch }
 // differential suite pins. Callers must treat the view as search-only —
 // mutating it is a programming error.
 func (s *Set) SearchView() (*Set, error) {
-	v := &Set{
-		dim:       s.dim,
-		opts:      s.opts,
-		bubbles:   make([]*Bubble, len(s.bubbles)),
-		owner:     make(map[dataset.PointID]int),
-		counter:   &vecmath.Counter{},
-		rng:       stats.NewRNG(1),
-		statsOnly: true,
-		seedEpoch: s.seedEpoch,
-	}
-	v.opts.Counter = v.counter
-	v.opts.TrackMembers = false
-	for i, b := range s.bubbles {
-		v.bubbles[i] = newBubble(s.dim, b.seed, false)
-	}
+	v := s.frozenClone()
 	if s.nidx != nil {
 		dense, ok := s.nidx.(*neighbor.Dense)
 		if !ok {
@@ -261,6 +247,46 @@ func (s *Set) SearchView() (*Set, error) {
 		v.nidx = dense.Clone(v.counter)
 	}
 	return v, nil
+}
+
+// ReadView clones what read queries derive from — each bubble's seed
+// and sufficient statistics (n, LS, SS) — into an independent Set that
+// stays frozen while the live set keeps mutating. Rep, extent and
+// nnDist follow from those alone (Definition 1), so the approximate
+// queries and bubble-OPTICS answer on the view exactly as on the live
+// set. The view carries no member IDs, no ownership map and no neighbor
+// index: its cost is O(k·d) whatever the population. Without an index
+// a closest-seed search on the view is the unpruned scan. Callers must
+// treat the view as read-only — mutating it is a programming error.
+func (s *Set) ReadView() *Set {
+	v := s.frozenClone()
+	v.opts.UseTriangleInequality = false
+	return v
+}
+
+// frozenClone copies each bubble's seed and sufficient statistics into
+// a set with a private counter and RNG and no members, ownership map or
+// neighbor index. It backs SearchView (whose searches never read the
+// statistics) and ReadView.
+func (s *Set) frozenClone() *Set {
+	v := &Set{
+		dim:       s.dim,
+		opts:      s.opts,
+		bubbles:   make([]*Bubble, len(s.bubbles)),
+		counter:   &vecmath.Counter{},
+		rng:       stats.NewRNG(1),
+		statsOnly: true,
+		seedEpoch: s.seedEpoch,
+	}
+	v.opts.Counter = v.counter
+	v.opts.TrackMembers = false
+	for i, b := range s.bubbles {
+		c := newBubble(s.dim, b.seed, false)
+		c.n, c.ss = b.n, b.ss
+		copy(c.ls, b.ls)
+		v.bubbles[i] = c
+	}
+	return v
 }
 
 // Owner returns the index of the bubble compressing point id.
@@ -304,6 +330,7 @@ type distSink interface {
 // reads the seed positions and the seed distance matrix, so any number of
 // searches with distinct (rng, scratch, sink) triples may run concurrently;
 // that is the read-only phase 1 of the parallel assignment pipeline.
+//
 //lint:hotpath
 func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *[]int, sink distSink) (int, float64, error) {
 	n := len(s.bubbles)
@@ -400,6 +427,7 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 // pickCand removes and returns a uniformly random element of cands,
 // swapping the last element into its place. A named function rather than a
 // closure inside searchClosest so the hot path allocates nothing.
+//
 //lint:hotpath
 func pickCand(rng *stats.RNG, cands []int) (int, []int) {
 	k := rng.Intn(len(cands))

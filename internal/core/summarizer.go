@@ -456,6 +456,26 @@ func finishConstruct(db *dataset.DB, set *bubble.Set, cfg Config, seed int64, rn
 // Set exposes the maintained bubble set (read-only use).
 func (s *Summarizer) Set() *bubble.Set { return s.set }
 
+// ReadView is a frozen, statistics-only image of the summary at one
+// batch boundary: the bubbles' seeds and sufficient statistics
+// (bubble.Set.ReadView) plus the scalar state of that boundary. Nothing
+// in it is shared with the live summarizer, so any number of readers
+// may use it while batches keep applying.
+type ReadView struct {
+	Set     *bubble.Set
+	Applied int // batches applied when the view was taken
+	Points  int // live database records at that moment
+	Dim     int
+}
+
+// ReadView captures the current summary for readers in O(k·d). The
+// caller must own the summarizer and call it between batches — the
+// serial worker after ApplyBatch returns, the pipeline applier after
+// each applied ticket — so the view never mixes two batches.
+func (s *Summarizer) ReadView() *ReadView {
+	return &ReadView{Set: s.set.ReadView(), Applied: s.batches, Points: s.db.Len(), Dim: s.db.Dim()}
+}
+
 // DB returns the summarized database.
 func (s *Summarizer) DB() *dataset.DB { return s.db }
 

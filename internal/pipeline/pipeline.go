@@ -61,7 +61,7 @@ type Ticket struct {
 
 	done     chan struct{}
 	stats    core.BatchStats
-	applied  bool
+	view     *core.ReadView // non-nil iff the batch applied
 	err      error
 	observed atomic.Bool
 }
@@ -77,7 +77,15 @@ func (t *Ticket) Batch() dataset.Batch { return t.batch }
 // (wal.ErrCheckpointRetryable) — and such a batch must NOT be
 // resubmitted: it is applied and durable, only the checkpoint will be
 // retried at the next cadence.
-func (t *Ticket) Applied() bool { return t.applied }
+func (t *Ticket) Applied() bool { return t.view != nil }
+
+// View returns the read view the applier captured right after applying
+// the ticket's batch — the summary at exactly this batch's boundary,
+// with View().Applied-1 its ordinal. Valid once the ticket is done; nil
+// exactly when the batch did not apply. The producer cannot take such
+// a view itself: by the time Wait returns, the applier may already be
+// applying the next ticket.
+func (t *Ticket) View() *core.ReadView { return t.view }
 
 // Done reports whether the ticket has completed without blocking.
 func (t *Ticket) Done() bool {
@@ -418,10 +426,18 @@ func (p *Scheduler) applier() {
 			}
 		}
 		stats, err := p.s.ApplyBatchPipelined(t.ctx(), batch, t.spec)
-		t.applied = p.s.Batches() == t.ordinal+1
+		if p.s.Batches() == t.ordinal+1 {
+			// The same quiescent boundary the async checkpoint below
+			// encodes: capture the readers' view of it here, on the
+			// goroutine that owns the summary, even when a trailing
+			// fault follows — an applied batch is acked with its view.
+			sp := t.sp.Start("core.read_view")
+			t.view = p.s.ReadView()
+			sp.End()
+		}
 		if err != nil {
 			switch {
-			case t.applied && errors.Is(err, wal.ErrCheckpointRetryable):
+			case t.Applied() && errors.Is(err, wal.ErrCheckpointRetryable):
 				// The batch committed (the counter advanced) and only
 				// its trailing async checkpoint failed — non-poisoning,
 				// and the cadence is re-armed (wal.group), exactly the

@@ -426,27 +426,27 @@ func decodeBatch(ups []updateJSON, dim int) (dataset.Batch, error) {
 
 func (s *Server) handleApproxCount(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	rs := t.snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "count": approx.Count(rs.set)})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.Applied, "count": approx.Count(rs.Set)})
 }
 
 func (s *Server) handleApproxMean(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	rs := t.snapshot()
-	mean, err := approx.Mean(rs.set)
+	mean, err := approx.Mean(rs.Set)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, ReasonBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "mean": []float64(mean)})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.Applied, "mean": []float64(mean)})
 }
 
 func (s *Server) handleApproxVariance(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	rs := t.snapshot()
-	v, err := approx.TotalVariance(rs.set)
+	v, err := approx.TotalVariance(rs.Set)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, ReasonBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "total_variance": v})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.Applied, "total_variance": v})
 }
 
 func (s *Server) handleRangeCount(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -464,12 +464,12 @@ func (s *Server) handleRangeCount(w http.ResponseWriter, r *http.Request, t *ten
 	if seed == 0 {
 		seed = t.seed
 	}
-	est, err := approx.RangeCount(rs.set, approx.Box{Lo: vecmath.Point(body.Lo), Hi: vecmath.Point(body.Hi)}, samples, seed)
+	est, err := approx.RangeCount(rs.Set, approx.Box{Lo: vecmath.Point(body.Lo), Hi: vecmath.Point(body.Hi)}, samples, seed)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "estimate": est})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.Applied, "estimate": est})
 }
 
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -490,12 +490,12 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tena
 		seed = t.seed
 	}
 	rs := t.snapshot()
-	hist, err := approx.AxisHistogram(rs.set, axis, bins, lo, hi, samples, seed)
+	hist, err := approx.AxisHistogram(rs.Set, axis, bins, lo, hi, samples, seed)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "bins": hist})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.Applied, "bins": hist})
 }
 
 // handlePlot runs OPTICS over the snapshot and returns the bubble-level
@@ -514,7 +514,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request, t *tenant) {
 		}
 	}
 	rs := t.snapshot()
-	space, err := optics.NewBubbleSpace(rs.set)
+	space, err := optics.NewBubbleSpace(rs.Set)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, ReasonBadRequest, err)
 		return
@@ -524,7 +524,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request, t *tenant) {
 		writeError(w, http.StatusInternalServerError, ReasonBadRequest, err)
 		return
 	}
-	reply := plotReply{Applied: rs.applied, MinPts: minPts, TotalWeight: res.TotalWeight()}
+	reply := plotReply{Applied: rs.Applied, MinPts: minPts, TotalWeight: res.TotalWeight()}
 	for _, e := range res.Order {
 		reply.Order = append(reply.Order, plotEntry{
 			Obj: e.Obj, ID: e.ID,

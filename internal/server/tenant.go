@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"incbubbles/internal/bubble"
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/failpoint"
@@ -65,19 +63,6 @@ func (r *ingestReq) reply(res ingestResult) {
 type degraded struct {
 	Reason string // stable reason code, e.g. "wal_poisoned"
 	Cause  string // human-readable underlying error
-}
-
-// readState is the snapshot read queries serve from: a fully
-// independent bubble.Set (Save→Load round-trip, private counter and
-// RNG) plus the scalar state of the moment it was taken. Workers
-// publish a fresh one after every applied batch; readers never touch
-// the live summarizer, so a poisoned or busy tenant keeps serving its
-// last-good summary.
-type readState struct {
-	set     *bubble.Set
-	applied int
-	points  int
-	dim     int
 }
 
 // TenantStatus is the externally visible state of one tenant.
@@ -161,7 +146,13 @@ type tenant struct {
 	queueClosed bool
 	queue       chan *ingestReq
 
-	read     atomic.Pointer[readState]
+	// read is the snapshot read queries serve from: a core.ReadView
+	// captured by the goroutine that owns the summary at a batch
+	// boundary — the serial worker after each applied batch, the
+	// pipeline applier on each applied ticket. Readers never touch the
+	// live summarizer, so a poisoned or busy tenant keeps serving its
+	// last-good summary.
+	read     atomic.Pointer[core.ReadView]
 	degrade  atomic.Pointer[degraded]
 	workerWG sync.WaitGroup
 	finalErr error // set by the worker's finalization, read after drain
@@ -295,6 +286,7 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 	for _, rec := range t.db.Snapshot() {
 		t.live[rec.ID] = struct{}{}
 	}
+	t.publish(context.Background())
 	if cfg.PipelineDepth >= 1 {
 		sched, err := pipeline.New(t.sum, t.log, pipeline.Config{Replay: true})
 		if err != nil {
@@ -303,7 +295,6 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 		}
 		t.sched = sched
 	}
-	t.publish()
 	return t, nil
 }
 
@@ -402,10 +393,10 @@ func (t *tenant) status() TenantStatus {
 		LastCheckpointAgeSeconds: t.checkpointAge(),
 	}
 	if rs != nil {
-		st.Applied = rs.applied
-		st.Points = rs.points
-		st.Dim = rs.dim
-		st.Bubbles = rs.set.Len()
+		st.Applied = rs.Applied
+		st.Points = rs.Points
+		st.Dim = rs.Dim
+		st.Bubbles = rs.Set.Len()
 	}
 	if d := t.degrade.Load(); d != nil {
 		st.ReadOnly = true
@@ -425,30 +416,19 @@ func (t *tenant) checkpointAge() float64 {
 	return time.Since(time.Unix(0, n)).Seconds()
 }
 
-// snapshot returns the current read state (never nil once the tenant
+// snapshot returns the current read view (never nil once the tenant
 // is open — newTenant publishes the initial one).
-func (t *tenant) snapshot() *readState { return t.read.Load() }
+func (t *tenant) snapshot() *core.ReadView { return t.read.Load() }
 
-// publish replaces the read snapshot with an independent clone of the
-// live summary. On a snapshot error the previous snapshot is kept —
-// reads degrade to slightly stale rather than fail.
-func (t *tenant) publish() {
-	var buf bytes.Buffer
-	if err := t.sum.Set().Save(&buf); err != nil {
-		t.sink.Counter(telemetry.MetricServerSnapshotErrors).Inc()
-		return
-	}
-	set, err := bubble.Load(&buf, bubble.Options{})
-	if err != nil {
-		t.sink.Counter(telemetry.MetricServerSnapshotErrors).Inc()
-		return
-	}
-	t.read.Store(&readState{
-		set:     set,
-		applied: t.sum.Batches(),
-		points:  t.db.Len(),
-		dim:     t.db.Dim(),
-	})
+// publish captures the live summary's read view and makes it the
+// snapshot, under a core.read_view span when ctx carries the request's
+// trace. Only a goroutine that owns the summarizer at a batch boundary
+// may call it: newTenant before the worker starts, and the serial
+// worker. Pipelined tenants publish the view their tickets carry.
+func (t *tenant) publish(ctx context.Context) {
+	sp := trace.FromContext(ctx).Start("core.read_view")
+	t.read.Store(t.sum.ReadView())
+	sp.End()
 }
 
 // run is the worker: the single goroutine that owns the tenant's
@@ -600,7 +580,7 @@ func (t *tenant) runSerial() {
 			}
 			t.metrics.applySeconds.Observe(time.Since(applyStart).Seconds())
 			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
+			t.publish(req.ctx)
 			req.reply(res)
 			if perr := t.log.Poisoned(); perr != nil {
 				t.setDegraded("wal_poisoned", perr)
@@ -728,14 +708,15 @@ func (t *tenant) runPipelined() {
 		// away: a submitted batch always runs to completion.
 		//lint:allow ctxflow the wait is deliberately not cancellable — the ticket's outcome must be observed exactly once
 		stats, err := head.tk.Wait(context.Background())
-		if err == nil || head.tk.Applied() {
-			res := ingestResult{ordinal: t.sum.Batches() - 1, stats: stats, firstID: firstInsertID(head.req.batch)}
+		if head.tk.Applied() {
+			view := head.tk.View()
+			res := ingestResult{ordinal: view.Applied - 1, stats: stats, firstID: firstInsertID(head.req.batch)}
 			if err != nil {
 				res.warning = err.Error()
 			}
 			t.metrics.applySeconds.Observe(time.Since(head.started).Seconds())
 			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
+			t.read.Store(view)
 			head.req.reply(res)
 			inflight = inflight[1:]
 			// Applied-with-error can hide a fatal trailing fault (poisoned
@@ -836,13 +817,14 @@ func (t *tenant) redrive(req *ingestReq) bool {
 		}
 		//lint:allow ctxflow the durability ack must be observed even for an abandoned request
 		stats, werr := tk.Wait(context.Background())
-		if werr == nil || tk.Applied() {
-			res := ingestResult{ordinal: t.sum.Batches() - 1, stats: stats, firstID: firstInsertID(req.batch)}
+		if tk.Applied() {
+			view := tk.View()
+			res := ingestResult{ordinal: view.Applied - 1, stats: stats, firstID: firstInsertID(req.batch)}
 			if werr != nil {
 				res.warning = werr.Error()
 			}
 			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
+			t.read.Store(view)
 			req.reply(res)
 			return nil
 		}

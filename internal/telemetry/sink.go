@@ -69,7 +69,6 @@ const (
 	MetricServerIngestRetries   = "server.ingest_retries"
 	MetricServerQueueRejected   = "server.queue_rejected"
 	MetricServerDegraded        = "server.tenant_degraded"
-	MetricServerSnapshotErrors  = "server.snapshot_errors"
 	MetricServerCancelledBefore = "server.cancelled_before_apply"
 
 	// Serving-layer observability series (DESIGN.md §16). The worker
